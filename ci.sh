@@ -14,7 +14,9 @@
 #                      sections and the 10k→1M metro sweep), gate ns/event
 #                      and solver us/solve against the committed
 #                      BENCH_simcore.json (>15% fails), then gate the
-#                      observability overhead (<2% hooks/steady-state)
+#                      observability overhead (<2% hooks/steady-state),
+#                      then run a short plan-cold scenario benchmark whose
+#                      result must report "correct": true
 #   ./ci.sh chaos    — distributed-control slice: the full ctrl suite, the
 #                      distributed-plane shard bit-identity and fuzz
 #                      scenarios, and a CLI convergence + failover smoke
@@ -117,6 +119,20 @@ chaos_slice() {
   rm -rf "$dir"
 }
 
+# Scenario-benchmark smoke: one short plan-cold run (cold joint solve,
+# validate_plan() and the accuracy floor on the adopted plan, task
+# conservation, bit-identical repetitions). run.py builds its own Release
+# tree and runs its logic tests first; the last output line is the JSON
+# result, which must say "correct": true.
+plan_cold_smoke() {
+  local result
+  result="$(python3 scenariobench/run.py --workload plan-cold --seed 1 \
+    --seconds 5 --trace 0 | tail -n 1)"
+  echo "$result"
+  python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+    "$result" || { echo "plan-cold: result is not correct" >&2; return 1; }
+}
+
 case "$TIER" in
   fast|asan|ubsan)
     ctest --test-dir "$BUILD_DIR" -L fast --output-on-failure -j "$JOBS"
@@ -155,6 +171,7 @@ case "$TIER" in
     # untraced wall time (or the end-to-end diff trips its regression
     # backstop).
     "$BUILD_DIR/bench/bench_obs_overhead"
+    plan_cold_smoke
     ;;
   *)
     echo "usage: $0 [fast|full|asan|ubsan|tsan|perf|chaos]" >&2

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -142,70 +143,100 @@ struct SurgeryOutcome {
   std::size_t evaluations = 0;
 };
 
-/// Per-device surgery search. For every candidate cut (plus device-only) the
-/// generalized exit-setting DP proposes the best exit policy for that cut;
-/// the proposals are then scored with the *true* objective — the three-stage
-/// queueing evaluator at the device's current resource grant — so a cut
-/// whose device-side work cannot sustain the arrival rate is rejected even
-/// if its raw service latency looks attractive.
-SurgeryOutcome best_surgery(const ProblemInstance& instance, DeviceId id,
-                            ServerId server, double share, double bandwidth,
-                            const std::vector<Graph::CutPoint>& cuts,
-                            const ProfileCosts& dev_costs,
-                            const JointOptions& opts) {
-  const auto& dev = instance.topology().device(id);
-  const auto& bundle = instance.bundle_for(id);
+/// One cut's proposal: the DP's exit policy for it, scored by the queueing
+/// evaluator at the grant it was priced under.
+struct Proposal {
+  SurgeryPlan plan;
+  bool feasible = false;  // the DP met the accuracy floor
+  bool stable = false;
+  double predicted = kInf;   // evaluate_device latency
+  double table_cost = kInf;  // the DP's cost-table latency
+};
 
+/// The surgery DP's options for one device.
+ExitSettingOptions surgery_dp_options(const Device& dev,
+                                      const JointOptions& opts) {
   ExitSettingOptions es;
   es.min_accuracy = dev.min_accuracy;
   es.theta_grid = opts.theta_grid;
   es.max_exits = opts.enable_exits ? opts.max_exits : 0;
   es.coverage_bins = opts.dp_coverage_bins;
   es.difficulty = dev.difficulty;
+  return es;
+}
+
+/// Per-device surgery search. For every candidate cut (plus device-only) the
+/// generalized exit-setting DP proposes the best exit policy for that cut;
+/// the proposals are then scored with the *true* objective — the three-stage
+/// queueing evaluator at the device's current resource grant — so a cut
+/// whose device-side work cannot sustain the arrival rate is rejected even
+/// if its raw service latency looks attractive. The device-only proposal
+/// reads nothing but the device, so it is made once per solve and kept in
+/// `device_only` for the later rounds.
+SurgeryOutcome best_surgery(const ProblemInstance& instance, DeviceId id,
+                            ServerId server, double share, double bandwidth,
+                            const std::vector<Graph::CutPoint>& cuts,
+                            const ProfileCosts& dev_costs,
+                            const JointOptions& opts,
+                            const ExitLattice& lattice,
+                            ExitSettingWorkspace& workspace,
+                            std::optional<Proposal>& device_only) {
+  const auto& dev = instance.topology().device(id);
+  const auto& bundle = instance.bundle_for(id);
+  const ExitSettingOptions es = surgery_dp_options(dev, opts);
 
   SurgeryOutcome best;
   SurgeryOutcome best_unstable;  // least-bad fallback if nothing is stable
 
-  auto consider = [&](NodeId cut, std::int64_t cut_bytes,
-                      const ProfileCosts& slice_costs, double bw, double rtt,
-                      bool quantize) {
+  auto propose = [&](NodeId cut, std::int64_t cut_bytes,
+                     const ProfileCosts& slice_costs, double bw, double rtt,
+                     bool quantize) {
     // Quantized uploads ship 1/4 of the activation plus the scale word.
     const std::int64_t wire_bytes =
         quantize && cut >= 0 ? cut_bytes / 4 + 4 : cut_bytes;
     const ExitCostTable table =
         build_cost_table(bundle.graph, bundle.candidates, cut, wire_bytes,
                          dev_costs, slice_costs, bw, rtt, dev.arrival_rate);
-    const ExitSettingResult r = dp_exit_setting_costs(
-        bundle.graph, bundle.candidates, bundle.accuracy, table, es);
+    const ExitSettingResult r =
+        dp_exit_setting_costs(bundle.graph, bundle.candidates, bundle.accuracy,
+                              table, es, lattice, workspace);
+    Proposal p;
     best.evaluations += r.evaluations;
-    if (!r.feasible) return;
-
-    SurgeryPlan plan;
-    plan.policy = r.policy;
-    plan.device_only = cut < 0;
-    plan.partition_after = cut < 0 ? 0 : cut;
-    plan.quantize_upload = quantize && cut >= 0;
+    if (!r.feasible) return p;
+    p.feasible = true;
+    p.table_cost = r.expected_latency;
+    p.plan.policy = r.policy;
+    p.plan.device_only = cut < 0;
+    p.plan.partition_after = cut < 0 ? 0 : cut;
+    p.plan.quantize_upload = quantize && cut >= 0;
 
     DeviceDecision dd;
-    dd.plan = plan;
-    if (!plan.device_only) {
+    dd.plan = p.plan;
+    if (!p.plan.device_only) {
       dd.server = server;
       dd.compute_share = std::min(1.0, share);
       dd.bandwidth = bw;
     }
     const DevicePrediction pred = evaluate_device(instance, id, dd);
-    if (pred.stable && pred.expected_latency < best.cost) {
-      best.cost = pred.expected_latency;
+    p.stable = pred.stable;
+    p.predicted = pred.expected_latency;
+    return p;
+  };
+  auto offer = [&](const Proposal& p) {
+    if (!p.feasible) return;
+    if (p.stable && p.predicted < best.cost) {
+      best.cost = p.predicted;
       best.feasible = true;
-      best.plan = std::move(plan);
-    } else if (!pred.stable && r.expected_latency < best_unstable.cost) {
-      best_unstable.cost = r.expected_latency;
-      best_unstable.plan = std::move(plan);
+      best.plan = p.plan;
+    } else if (!p.stable && p.table_cost < best_unstable.cost) {
+      best_unstable.cost = p.table_cost;
+      best_unstable.plan = p.plan;
     }
   };
 
   // Device-only option (the slice-cost argument is unused for cut < 0).
-  consider(-1, 0, dev_costs, 1.0, 0.0, false);
+  if (!device_only) device_only = propose(-1, 0, dev_costs, 1.0, 0.0, false);
+  offer(*device_only);
 
   if (server >= 0 && share > 0.0 && bandwidth > 0.0) {
     const auto slice =
@@ -226,16 +257,16 @@ SurgeryOutcome best_surgery(const ProblemInstance& instance, DeviceId id,
           1.25 * dev.arrival_rate * static_cast<double>(cut.activation_bytes);
       const double bw_eval =
           std::min(std::max(bandwidth, stability_bw), cell_capacity);
-      consider(cut.after, cut.activation_bytes, slice_costs, bw_eval, rtt,
-               false);
+      offer(propose(cut.after, cut.activation_bytes, slice_costs, bw_eval, rtt,
+                    false));
       if (opts.enable_quantized_upload) {
         const double q_stability_bw =
             1.25 * dev.arrival_rate *
             static_cast<double>(cut.activation_bytes / 4 + 4);
         const double q_bw =
             std::min(std::max(bandwidth, q_stability_bw), cell_capacity);
-        consider(cut.after, cut.activation_bytes, slice_costs, q_bw, rtt,
-                 true);
+        offer(propose(cut.after, cut.activation_bytes, slice_costs, q_bw, rtt,
+                      true));
       }
     }
   }
@@ -359,10 +390,17 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
   }
 
   // Round-invariant per-device caches for the surgery search: the candidate
-  // cut list and the device-profile latency sweep never change across the
-  // alternation's rounds.
+  // cut list, the device-profile latency sweep, the exit-setting DP's
+  // cost-independent lattice (one per bundle and difficulty) and the
+  // device-only proposal never change across the alternation's rounds. They
+  // and the DP's buffers are shared by every cut and round of this solve
+  // and freed with it.
   std::vector<std::vector<Graph::CutPoint>> device_cuts(n);
   std::vector<ProfileCosts> device_costs(n);
+  ExitLatticeSet lattices;
+  std::vector<const ExitLattice*> device_lattice(n, nullptr);
+  ExitSettingWorkspace dp_workspace;
+  std::vector<std::optional<Proposal>> device_only(n);
   if (opts_.enable_surgery) {
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<DeviceId>(i);
@@ -370,6 +408,9 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
       device_cuts[i] = candidate_cuts(bundle.graph, /*max_cuts=*/16);
       device_costs[i] =
           profile_costs(bundle.graph, bundle.candidates, topo.device(id).compute);
+      device_lattice[i] =
+          &lattices.get(bundle.candidates, bundle.accuracy,
+                        surgery_dp_options(topo.device(id), opts_));
     }
   }
 
@@ -427,7 +468,8 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
         const auto id = static_cast<DeviceId>(i);
         const auto outcome =
             best_surgery(instance, id, server_of[i], share[i], bandwidth[i],
-                         device_cuts[i], device_costs[i], opts_);
+                         device_cuts[i], device_costs[i], opts_,
+                         *device_lattice[i], dp_workspace, device_only[i]);
         surgery_evals += outcome.evaluations;
         if (!outcome.feasible) continue;
         if (iter == 0) {

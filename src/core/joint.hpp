@@ -54,7 +54,9 @@ struct JointReport {
   std::size_t iterations = 0;
   std::vector<double> objective_history;  // mean latency after each round
   double solve_seconds = 0.0;
-  std::size_t surgery_evaluations = 0;    // DP/exhaustive configs examined
+  /// Sum of the surgery DPs' `evaluations`; the round-invariant device-only
+  /// DP counts once per solve.
+  std::size_t surgery_evaluations = 0;
 };
 
 /// The paper's contribution: jointly choose, for every device, its model

@@ -67,6 +67,11 @@ std::vector<LadderRung> build_degradation_ladder(
   const std::vector<double> base_acc = prev_acc;
   ladder.push_back(std::move(r0));
 
+  // Every rung re-runs the exit-setting DP over the same bundles and
+  // difficulties at a lower floor: one lattice per pair serves them all.
+  ExitLatticeSet lattices;
+  ExitSettingWorkspace dp_workspace;
+
   for (std::size_t k = 1; k <= opts.rungs; ++k) {
     const LadderRung& prev = ladder.back();
     LadderRung rung;
@@ -86,8 +91,9 @@ std::vector<LadderRung> build_degradation_ladder(
       eo.coverage_bins = joint.dp_coverage_bins;
       eo.difficulty = device.difficulty;
       SurgeryPlan plan = prev.plans[i];
-      const auto res = dp_exit_setting(bundle.graph, bundle.candidates,
-                                       bundle.accuracy, device.compute, eo);
+      const auto res = dp_exit_setting(
+          bundle.graph, bundle.candidates, bundle.accuracy, device.compute, eo,
+          lattices.get(bundle.candidates, bundle.accuracy, eo), dp_workspace);
       if (res.feasible) plan.policy = res.policy;
       if (!plan.device_only && k >= opts.quantize_from) {
         plan.quantize_upload = true;

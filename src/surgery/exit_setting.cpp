@@ -11,6 +11,18 @@
 namespace scalpel {
 namespace {
 
+double coverage_of_bin(std::size_t b, std::size_t bins) {
+  return static_cast<double>(b) / static_cast<double>(bins - 1);
+}
+
+std::size_t bin_of_coverage(double c, std::size_t bins) {
+  // Round to nearest: unbiased over the sweep (the final selection applies
+  // a one-bin feasibility margin and the result is re-verified exactly).
+  const auto b = static_cast<std::size_t>(
+      std::floor(c * static_cast<double>(bins - 1) + 0.5));
+  return std::min(b, bins - 1);
+}
+
 ExitSettingResult make_result(const Graph& backbone,
                               const std::vector<ExitCandidate>& candidates,
                               const AccuracyModel& acc,
@@ -160,6 +172,17 @@ ExitSettingResult dp_exit_setting(
     const Graph& backbone, const std::vector<ExitCandidate>& candidates,
     const AccuracyModel& acc, const ComputeProfile& profile,
     const ExitSettingOptions& opts) {
+  const ExitLattice lattice(candidates, acc, opts);
+  ExitSettingWorkspace workspace;
+  return dp_exit_setting(backbone, candidates, acc, profile, opts, lattice,
+                         workspace);
+}
+
+ExitSettingResult dp_exit_setting(
+    const Graph& backbone, const std::vector<ExitCandidate>& candidates,
+    const AccuracyModel& acc, const ComputeProfile& profile,
+    const ExitSettingOptions& opts, const ExitLattice& lattice,
+    ExitSettingWorkspace& workspace) {
   ExitCostTable costs;
   const std::size_t n = candidates.size();
   costs.segment.resize(n, 0.0);
@@ -173,8 +196,8 @@ ExitSettingResult dp_exit_setting(
   }
   costs.tail = LatencyModel::range_latency(
       backbone, n ? candidates[n - 1].attach : 0, backbone.output(), profile);
-  ExitSettingResult r =
-      dp_exit_setting_costs(backbone, candidates, acc, costs, opts);
+  ExitSettingResult r = dp_exit_setting_costs(backbone, candidates, acc, costs,
+                                              opts, lattice, workspace);
   if (r.feasible) {
     // Report the latency through the standard single-profile evaluator so
     // callers can compare against exhaustive/greedy results directly.
@@ -184,125 +207,198 @@ ExitSettingResult dp_exit_setting(
   return r;
 }
 
-ExitSettingResult dp_exit_setting_costs(
-    const Graph& backbone, const std::vector<ExitCandidate>& candidates,
-    const AccuracyModel& acc, const ExitCostTable& costs,
-    const ExitSettingOptions& opts) {
+ExitLattice::ExitLattice(const std::vector<ExitCandidate>& candidates,
+                         const AccuracyModel& acc,
+                         const ExitSettingOptions& opts)
+    : stages_(candidates.size()),
+      bins_(opts.coverage_bins + 1),  // bin b = coverage b / (bins - 1)
+      thetas_(opts.theta_grid.size()),
+      theta_grid_(opts.theta_grid),
+      difficulty_a_(opts.difficulty.a()),
+      difficulty_b_(opts.difficulty.b()),
+      a_max_(acc.a_max) {
   SCALPEL_REQUIRE(opts.coverage_bins >= 2, "DP needs >= 2 coverage bins");
-  SCALPEL_REQUIRE(costs.segment.size() == candidates.size() &&
-                      costs.head.size() == candidates.size(),
-                  "cost table arity mismatch");
-  const std::size_t bins = opts.coverage_bins + 1;  // bin b = coverage b/bins
-  const std::size_t n = candidates.size();
-  const std::vector<double>& segment = costs.segment;
-  const std::vector<double>& head = costs.head;
-  const double tail = costs.tail;
-
-  // Labels are PODs: the decision trace lives in a shared parent-pointer
-  // arena (`steps`) and only the winning label's chain is materialized at
-  // the end. The old per-label std::vector<ExitChoice> trace made every
-  // skip/enable transition a heap allocation — the DP's dominant cost.
-  struct Label {
-    double accuracy;  // accumulated accuracy mass
-    double latency;   // accumulated expected latency
-    std::size_t exit_count;
-    std::int32_t step = -1;  // index into `steps`; -1 = no exits enabled
-  };
-  struct Step {
-    std::int32_t parent;
-    ExitChoice choice;
-  };
-  std::vector<Step> steps;
-  // frontier[b] = Pareto set of labels with coverage bin b.
-  std::vector<std::vector<Label>> frontier(bins);
-  std::vector<std::vector<Label>> next(bins);  // reused across candidates
-  frontier[0].push_back(Label{0.0, 0.0, 0, -1});
-  std::size_t evaluations = 0;
-
-  auto dominate_insert = [](std::vector<Label>& set,
-                            const Label& cand_label) {
-    for (const auto& l : set) {
-      if (l.accuracy >= cand_label.accuracy - 1e-12 &&
-          l.latency <= cand_label.latency + 1e-12) {
-        return false;  // dominated
-      }
-    }
-    std::erase_if(set, [&](const Label& l) {
-      return cand_label.accuracy >= l.accuracy - 1e-12 &&
-             cand_label.latency <= l.latency + 1e-12;
-    });
-    set.push_back(cand_label);
-    return true;
-  };
-
-  auto coverage_of_bin = [&](std::size_t b) {
-    return static_cast<double>(b) / static_cast<double>(bins - 1);
-  };
-  auto bin_of_coverage = [&](double c) {
-    // Round to nearest: unbiased over the sweep (the final selection applies
-    // a one-bin feasibility margin and the result is re-verified exactly).
-    const auto b = static_cast<std::size_t>(
-        std::floor(c * static_cast<double>(bins - 1) + 0.5));
-    return std::min(b, bins - 1);
-  };
-
-  // Bin-indexed difficulty mass and per-(candidate, theta) firing windows
-  // are loop invariants; hoisting them keeps the inner loop free of
-  // transcendental calls without changing a single computed value.
-  std::vector<double> bin_cdf(bins);
-  std::vector<double> bin_reach(bins);
-  for (std::size_t b = 0; b < bins; ++b) {
-    bin_cdf[b] = opts.difficulty.cdf(coverage_of_bin(b));
-    bin_reach[b] = 1.0 - bin_cdf[b];
+  SCALPEL_REQUIRE(bins_ <= 65536, "DP supports at most 65535 coverage bins");
+  SCALPEL_REQUIRE(stages_ <= 65535 && thetas_ <= 65535,
+                  "DP supports at most 65535 candidates and thetas");
+  std::vector<double> bin_cdf(bins_);
+  reach_.resize(bins_);
+  for (std::size_t b = 0; b < bins_; ++b) {
+    bin_cdf[b] = opts.difficulty.cdf(coverage_of_bin(b, bins_));
+    reach_[b] = 1.0 - bin_cdf[b];
   }
-  std::vector<double> theta_limit(opts.theta_grid.size());
-  std::vector<double> theta_correct(opts.theta_grid.size());
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (auto& set : next) set.clear();
+  next_bin_.resize(stages_ * bins_ * thetas_);
+  gain_.resize(stages_ * bins_ * thetas_);
+  for (std::size_t i = 0; i < stages_; ++i) {
     const double cap = acc.capability(candidates[i].depth_fraction);
-    for (std::size_t t = 0; t < opts.theta_grid.size(); ++t) {
+    for (std::size_t t = 0; t < thetas_; ++t) {
       const double theta = opts.theta_grid[t];
-      theta_limit[t] = cap * (1.0 - theta);
-      theta_correct[t] =
+      // An exit fires on the difficulty window (covered, limit]; tasks it
+      // answers score its conditional accuracy at this threshold.
+      const double limit = cap * (1.0 - theta);
+      const double correct =
           std::min(acc.selective_ceiling,
                    acc.conditional_accuracy(candidates[i].depth_fraction,
                                             theta) +
                        candidates[i].accuracy_bonus);
+      for (std::size_t b = 0; b < bins_; ++b) {
+        const double covered = std::max(coverage_of_bin(b, bins_), limit);
+        const double fire =
+            std::max(0.0, opts.difficulty.cdf(covered) - bin_cdf[b]);
+        const std::size_t k = (i * bins_ + b) * thetas_ + t;
+        gain_[k] = fire * correct;
+        next_bin_[k] =
+            static_cast<std::uint16_t>(bin_of_coverage(covered, bins_));
+      }
     }
-    for (std::size_t b = 0; b < bins; ++b) {
-      for (const auto& label : frontier[b]) {
-        const double covered = coverage_of_bin(b);
-        // Reach is the probability mass above the covered difficulty.
-        const double reach = bin_reach[b];
-        // Everyone still running pays the backbone segment to candidate i.
-        const double base_latency = label.latency + reach * segment[i];
+  }
+  // Backward: the terminal scores a_max on everything still running; each
+  // stage takes the better of skipping and every enable transition.
+  to_go_.resize((stages_ + 1) * bins_);
+  for (std::size_t b = 0; b < bins_; ++b) {
+    to_go_[stages_ * bins_ + b] = reach_[b] * acc.a_max;
+  }
+  for (std::size_t i = stages_; i-- > 0;) {
+    for (std::size_t b = 0; b < bins_; ++b) {
+      double best = to_go(i + 1, b);
+      const std::uint16_t* nb = next_bins(i, b);
+      const double* g = gains(i, b);
+      for (std::size_t t = 0; t < thetas_; ++t) {
+        best = std::max(best, g[t] + to_go(i + 1, nb[t]));
+      }
+      to_go_[i * bins_ + b] = best;
+    }
+  }
+}
 
+bool ExitLattice::matches(const std::vector<ExitCandidate>& candidates,
+                          const AccuracyModel& acc,
+                          const ExitSettingOptions& opts) const {
+  return candidates.size() == stages_ && opts.coverage_bins + 1 == bins_ &&
+         opts.theta_grid == theta_grid_ &&
+         opts.difficulty.a() == difficulty_a_ &&
+         opts.difficulty.b() == difficulty_b_ && acc.a_max == a_max_;
+}
+
+const ExitLattice& ExitLatticeSet::get(
+    const std::vector<ExitCandidate>& candidates, const AccuracyModel& acc,
+    const ExitSettingOptions& opts) {
+  for (const Entry& e : entries_) {
+    if (e.candidates == &candidates &&
+        e.lattice->matches(candidates, acc, opts)) {
+      return *e.lattice;
+    }
+  }
+  entries_.push_back(
+      Entry{&candidates, std::make_unique<ExitLattice>(candidates, acc, opts)});
+  return *entries_.back().lattice;
+}
+
+bool insert_pareto(std::vector<ExitSettingWorkspace::Label>& set,
+                   const ExitSettingWorkspace::Label& label) {
+  using Label = ExitSettingWorkspace::Label;
+  // Latency rises strictly with accuracy along the set, so the labels at
+  // least as accurate as `label` (a suffix) are cheapest at its front ...
+  const double acc_lo = label.accuracy - 1e-12;
+  const auto at_least = std::partition_point(
+      set.begin(), set.end(),
+      [&](const Label& l) { return !(l.accuracy >= acc_lo); });
+  if (at_least != set.end() && at_least->latency <= label.latency + 1e-12) {
+    return false;  // dominated
+  }
+  // ... and the labels it dominates (no more accurate, no faster) form one
+  // contiguous range ending where accuracy exceeds it; `label` takes their
+  // place in the order. The range covers every label within 1e-12 of its
+  // accuracy, so it starts at or before `at_least` and ends at or after it.
+  const auto last = std::partition_point(
+      at_least, set.end(),
+      [&](const Label& l) { return label.accuracy >= l.accuracy - 1e-12; });
+  const auto first = std::partition_point(
+      set.begin(), at_least,
+      [&](const Label& l) { return !(label.latency <= l.latency + 1e-12); });
+  if (first == last) {
+    set.insert(first, label);
+  } else {
+    *first = label;
+    set.erase(first + 1, last);
+  }
+  return true;
+}
+
+ExitSettingResult dp_exit_setting_costs(
+    const Graph& backbone, const std::vector<ExitCandidate>& candidates,
+    const AccuracyModel& acc, const ExitCostTable& costs,
+    const ExitSettingOptions& opts) {
+  const ExitLattice lattice(candidates, acc, opts);
+  ExitSettingWorkspace workspace;
+  return dp_exit_setting_costs(backbone, candidates, acc, costs, opts, lattice,
+                               workspace);
+}
+
+ExitSettingResult dp_exit_setting_costs(
+    const Graph& backbone, const std::vector<ExitCandidate>& candidates,
+    const AccuracyModel& acc, const ExitCostTable& costs,
+    const ExitSettingOptions& opts, const ExitLattice& lattice,
+    ExitSettingWorkspace& workspace) {
+  using Label = ExitSettingWorkspace::Label;
+  using Step = ExitSettingWorkspace::Step;
+  SCALPEL_REQUIRE(costs.segment.size() == candidates.size() &&
+                      costs.head.size() == candidates.size(),
+                  "cost table arity mismatch");
+  SCALPEL_REQUIRE(lattice.matches(candidates, acc, opts),
+                  "exit lattice built for other options");
+  const std::size_t bins = lattice.bins();
+  const std::size_t thetas = lattice.thetas();
+  const std::size_t n = candidates.size();
+  // A label whose accuracy plus the best it can still collect misses the
+  // floor by more than the dominance tolerance can never be selected, nor
+  // can any label it would have displaced (see DESIGN.md §5.1).
+  const double reachable_floor = opts.min_accuracy - 1e-9;
+
+  auto& frontier = workspace.frontier;
+  auto& next = workspace.next;
+  auto& steps = workspace.steps;
+  frontier.resize(bins);
+  next.resize(bins);
+  for (auto& set : frontier) set.clear();
+  steps.clear();
+  frontier[0].push_back(Label{0.0, 0.0, -1, 0});
+  std::size_t evaluations = 0;
+
+  for (std::size_t i = 0; i < n; ++i) {
+    for (auto& set : next) set.clear();
+    for (std::size_t b = 0; b < bins; ++b) {
+      if (frontier[b].empty()) continue;
+      // Everyone still running pays the backbone segment to candidate i,
+      // and the head too if the exit is enabled.
+      const double reach = lattice.reach(b);
+      const double segment_cost = reach * costs.segment[i];
+      const double head_cost = reach * costs.head[i];
+      const double skip_to_go = lattice.to_go(i + 1, b);
+      const std::uint16_t* next_bin = lattice.next_bins(i, b);
+      const double* gain = lattice.gains(i, b);
+      for (const Label& label : frontier[b]) {
+        const double base_latency = label.latency + segment_cost;
         // Option 1: skip candidate i.
-        {
-          Label skip = label;
-          skip.latency = base_latency;
-          dominate_insert(next[b], skip);
+        if (label.accuracy + skip_to_go >= reachable_floor) {
+          insert_pareto(next[b], Label{label.accuracy, base_latency,
+                                       label.step, label.exits});
           ++evaluations;
         }
         // Option 2: enable with each theta.
-        if (label.exit_count < opts.max_exits) {
-          for (std::size_t t = 0; t < opts.theta_grid.size(); ++t) {
-            const double limit = theta_limit[t];
-            const double fire =
-                std::max(0.0, opts.difficulty.cdf(std::max(covered, limit)) -
-                                  bin_cdf[b]);
-            Label en = label;
-            en.latency = base_latency + reach * head[i];
-            en.accuracy += fire * theta_correct[t];
-            en.exit_count += 1;
-            en.step = static_cast<std::int32_t>(steps.size());
-            const std::size_t nb = bin_of_coverage(std::max(covered, limit));
-            if (dominate_insert(next[nb], en)) {
-              steps.push_back(
-                  Step{label.step, ExitChoice{i, opts.theta_grid[t]}});
-            }
-            ++evaluations;
+        if (label.exits >= opts.max_exits) continue;
+        const double enabled_latency = base_latency + head_cost;
+        for (std::size_t t = 0; t < thetas; ++t) {
+          const double accuracy = label.accuracy + gain[t];
+          const std::size_t nb = next_bin[t];
+          if (accuracy + lattice.to_go(i + 1, nb) < reachable_floor) continue;
+          ++evaluations;
+          const Label en{accuracy, enabled_latency,
+                         static_cast<std::int32_t>(steps.size()),
+                         label.exits + 1};
+          if (insert_pareto(next[nb], en)) {
+            steps.push_back(Step{label.step, static_cast<std::uint16_t>(i),
+                                 static_cast<std::uint16_t>(t)});
           }
         }
       }
@@ -311,37 +407,27 @@ ExitSettingResult dp_exit_setting_costs(
   }
 
   // Terminal: tasks still running pay the tail segment and score a_max.
-  const Label* best = nullptr;
-  double best_latency = std::numeric_limits<double>::infinity();
-  std::vector<Label> finals;
-  for (std::size_t b = 0; b < bins; ++b) {
-    for (const auto& label : frontier[b]) {
-      const double reach = bin_reach[b];
-      Label f = label;
-      f.latency += reach * tail;
-      f.accuracy += reach * acc.a_max;
-      finals.push_back(f);
-    }
-  }
   // Coverage discretization can overstate a label's accuracy by up to one
-  // bin's worth of mass; select with that margin, then verify exactly.
-  const double margin = 1.0 / static_cast<double>(bins - 1);
-  for (const auto& f : finals) {
-    if (f.accuracy >= opts.min_accuracy + margin && f.latency < best_latency) {
-      best_latency = f.latency;
-      best = &f;
-    }
-  }
-  if (best == nullptr) {
-    // Margin may have excluded everything; retry without it (repair below
-    // restores exact feasibility).
-    for (const auto& f : finals) {
-      if (f.accuracy >= opts.min_accuracy && f.latency < best_latency) {
-        best_latency = f.latency;
-        best = &f;
+  // bin's worth of mass; select with that margin, then verify exactly. The
+  // margin may exclude everything; then select without it (the repair below
+  // restores exact feasibility).
+  const Label* best = nullptr;
+  auto select = [&](double need) {
+    double best_latency = std::numeric_limits<double>::infinity();
+    for (std::size_t b = 0; b < bins; ++b) {
+      const double reach = lattice.reach(b);
+      for (const Label& label : frontier[b]) {
+        const double latency = label.latency + reach * costs.tail;
+        if (label.accuracy + reach * acc.a_max >= need &&
+            latency < best_latency) {
+          best_latency = latency;
+          best = &label;
+        }
       }
     }
-  }
+  };
+  select(opts.min_accuracy + 1.0 / static_cast<double>(bins - 1));
+  if (best == nullptr) select(opts.min_accuracy);
   if (best == nullptr) {
     ExitSettingResult r;
     r.evaluations = evaluations;
@@ -353,7 +439,9 @@ ExitSettingResult dp_exit_setting_costs(
   // reproduces the depth-ordered trace the old per-label vectors carried.
   for (std::int32_t id = best->step; id >= 0;
        id = steps[static_cast<std::size_t>(id)].parent) {
-    r.policy.exits.push_back(steps[static_cast<std::size_t>(id)].choice);
+    const Step& step = steps[static_cast<std::size_t>(id)];
+    r.policy.exits.push_back(
+        ExitChoice{step.candidate, opts.theta_grid[step.theta]});
   }
   std::reverse(r.policy.exits.begin(), r.policy.exits.end());
   r.stats = evaluate_policy(backbone, candidates, r.policy, acc,

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+
 #include "nn/models.hpp"
 #include "profile/compute_profile.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace scalpel {
 namespace {
@@ -180,6 +185,238 @@ TEST(ExitSetting, PolicyCostAgreesWithStatsIntegration) {
   }
   manual += reach * 3.0;
   EXPECT_NEAR(policy_cost(f.cands, p, stats, costs), manual, 1e-12);
+}
+
+
+// ---- DP kernel: sorted Pareto sets, reusable lattice, accuracy-to-go bound.
+
+using Label = ExitSettingWorkspace::Label;
+
+/// The DP's original insert: a linear dominance scan, then erase every label
+/// the newcomer dominates, then append.
+bool linear_insert(std::vector<Label>& set, const Label& cand) {
+  for (const auto& l : set) {
+    if (l.accuracy >= cand.accuracy - 1e-12 &&
+        l.latency <= cand.latency + 1e-12) {
+      return false;
+    }
+  }
+  std::erase_if(set, [&](const Label& l) {
+    return cand.accuracy >= l.accuracy - 1e-12 &&
+           cand.latency <= l.latency + 1e-12;
+  });
+  set.push_back(cand);
+  return true;
+}
+
+TEST(ExitSettingKernel, SortedInsertMatchesLinearRuleOnTiesAndNearTies) {
+  Rng rng(20221);
+  // Coarse value grids make exact ties common; the offsets put labels just
+  // inside, on and just outside the 1e-12 dominance tolerance.
+  const double offsets[] = {0.0, 0.0, 0.0, 5e-13, -5e-13, 1e-12, -1e-12,
+                            2e-12, -2e-12, 1e-9};
+  auto value = [&](int levels) {
+    return static_cast<double>(rng.uniform_int(0, levels)) / levels +
+           offsets[rng.uniform_int(0, 9)];
+  };
+  for (int stream = 0; stream < 400; ++stream) {
+    std::vector<Label> sorted;
+    std::vector<Label> linear;
+    const int levels = stream % 2 == 0 ? 4 : 40;
+    const int length = static_cast<int>(rng.uniform_int(1, 80));
+    for (int k = 0; k < length; ++k) {
+      const Label l{value(levels), value(levels), k, 0};
+      ASSERT_EQ(insert_pareto(sorted, l), linear_insert(linear, l))
+          << "stream " << stream << " label " << k;
+      ASSERT_TRUE(std::is_sorted(sorted.begin(), sorted.end(),
+                                 [](const Label& a, const Label& b) {
+                                   return a.accuracy < b.accuracy;
+                                 }));
+    }
+    std::sort(linear.begin(), linear.end(),
+              [](const Label& a, const Label& b) {
+                return a.accuracy < b.accuracy;
+              });
+    ASSERT_EQ(sorted.size(), linear.size()) << "stream " << stream;
+    for (std::size_t k = 0; k < sorted.size(); ++k) {
+      EXPECT_EQ(sorted[k].step, linear[k].step) << "stream " << stream;
+      EXPECT_EQ(sorted[k].accuracy, linear[k].accuracy);
+      EXPECT_EQ(sorted[k].latency, linear[k].latency);
+    }
+  }
+}
+
+ExitCostTable random_costs(Rng& rng, std::size_t n) {
+  ExitCostTable c;
+  for (std::size_t i = 0; i < n; ++i) {
+    c.segment.push_back(rng.uniform(0.05, 2.0));
+    c.head.push_back(rng.uniform(0.0, 0.3));
+  }
+  c.tail = rng.uniform(0.05, 2.0);
+  return c;
+}
+
+TEST(ExitSettingKernel, ReusedLatticeMatchesPerCallLattice) {
+  Fixture f("mobilenet_v1", 8);
+  Rng rng(77);
+  ExitSettingOptions opts;
+  opts.theta_grid = {0.0, 0.15, 0.30, 0.45, 0.60, 0.75};
+  opts.coverage_bins = 60;
+  opts.difficulty = DifficultyModel::preset("easy_heavy");
+  const ExitLattice lattice(f.cands, f.acc, opts);
+  ExitSettingWorkspace workspace;
+  for (int trial = 0; trial < 60; ++trial) {
+    const ExitCostTable costs = random_costs(rng, f.cands.size());
+    opts.min_accuracy = rng.uniform(0.0, f.acc.a_max + 0.02);
+    opts.max_exits = static_cast<std::size_t>(rng.uniform_int(0, 4));
+    const auto fresh = dp_exit_setting_costs(f.g, f.cands, f.acc, costs, opts);
+    const auto reused = dp_exit_setting_costs(f.g, f.cands, f.acc, costs, opts,
+                                              lattice, workspace);
+    ASSERT_EQ(fresh.feasible, reused.feasible) << "trial " << trial;
+    EXPECT_EQ(fresh.evaluations, reused.evaluations) << "trial " << trial;
+    EXPECT_EQ(fresh.expected_latency, reused.expected_latency);
+    EXPECT_EQ(fresh.stats.expected_accuracy, reused.stats.expected_accuracy);
+    ASSERT_EQ(fresh.policy.exits.size(), reused.policy.exits.size());
+    for (std::size_t e = 0; e < fresh.policy.exits.size(); ++e) {
+      EXPECT_EQ(fresh.policy.exits[e].candidate,
+                reused.policy.exits[e].candidate);
+      EXPECT_EQ(fresh.policy.exits[e].theta, reused.policy.exits[e].theta);
+    }
+  }
+}
+
+TEST(ExitSettingKernel, LatticeBuiltForOtherOptionsIsRejected) {
+  Fixture f;
+  const auto opts = small_opts(0.5);
+  const ExitLattice lattice(f.cands, f.acc, opts);
+  ExitSettingWorkspace workspace;
+  ExitCostTable costs;
+  costs.segment.assign(f.cands.size(), 1.0);
+  costs.head.assign(f.cands.size(), 0.1);
+  auto other = opts;
+  other.coverage_bins = 100;
+  EXPECT_THROW(dp_exit_setting_costs(f.g, f.cands, f.acc, costs, other,
+                                     lattice, workspace),
+               ContractViolation);
+  other = opts;
+  other.difficulty = DifficultyModel::preset("hard_heavy");
+  EXPECT_THROW(dp_exit_setting_costs(f.g, f.cands, f.acc, costs, other,
+                                     lattice, workspace),
+               ContractViolation);
+}
+
+TEST(ExitSettingKernel, AccuracyToGoBoundIsAdmissibleAndTight) {
+  Rng rng(4242);
+  for (int table = 0; table < 40; ++table) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    std::vector<double> depth(n);
+    for (auto& d : depth) d = rng.uniform(0.05, 0.95);
+    std::sort(depth.begin(), depth.end());
+    std::vector<ExitCandidate> cands(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      cands[i].depth_fraction = depth[i];
+      cands[i].accuracy_bonus = rng.uniform(0.0, 0.03);
+    }
+    AccuracyModel acc;
+    acc.a_max = rng.uniform(0.5, 0.95);
+    acc.saturation_k = rng.uniform(1.0, 5.0);
+    acc.cap_gamma = rng.uniform(0.3, 1.0);
+    ExitSettingOptions opts;
+    opts.theta_grid.clear();
+    const auto thetas = rng.uniform_int(1, 4);
+    for (std::int64_t t = 0; t < thetas; ++t) {
+      opts.theta_grid.push_back(rng.uniform(0.0, 0.9));
+    }
+    opts.coverage_bins = static_cast<std::size_t>(rng.uniform_int(8, 80));
+    opts.difficulty = DifficultyModel(rng.uniform(0.5, 3.0),
+                                      rng.uniform(0.5, 3.0));
+    const ExitLattice lattice(cands, acc, opts);
+
+    // Walk every path through the lattice (skip, or enable at each theta),
+    // accumulating accuracy exactly as the DP's labels do.
+    std::vector<std::size_t> bin(n + 1);
+    std::vector<double> gained(n + 1);
+    double best_final = -1.0;
+    std::function<void(std::size_t)> walk = [&](std::size_t i) {
+      if (i == n) {
+        const double final_acc =
+            gained[n] + lattice.reach(bin[n]) * acc.a_max;
+        best_final = std::max(best_final, final_acc);
+        for (std::size_t k = 0; k <= n; ++k) {
+          ASSERT_LE(final_acc, gained[k] + lattice.to_go(k, bin[k]) + 1e-12)
+              << "table " << table << " stage " << k;
+        }
+        return;
+      }
+      bin[i + 1] = bin[i];
+      gained[i + 1] = gained[i];
+      walk(i + 1);
+      for (std::size_t t = 0; t < lattice.thetas(); ++t) {
+        bin[i + 1] = lattice.next_bins(i, bin[i])[t];
+        gained[i + 1] = gained[i] + lattice.gains(i, bin[i])[t];
+        walk(i + 1);
+      }
+    };
+    bin[0] = 0;
+    gained[0] = 0.0;
+    walk(0);
+    // Ignoring the exit budget, the bound is the best reachable accuracy.
+    EXPECT_NEAR(best_final, lattice.to_go(0, 0), 1e-12) << "table " << table;
+  }
+}
+
+/// Every policy with at most max_exits exits on the theta grid, priced with
+/// policy_cost: the exact optimum the DP approximates.
+double brute_force_cost(const Fixture& f, const ExitCostTable& costs,
+                        const ExitSettingOptions& opts) {
+  double best = std::numeric_limits<double>::infinity();
+  ExitPolicy current;
+  std::function<void(std::size_t)> recurse = [&](std::size_t idx) {
+    const auto stats =
+        evaluate_policy(f.g, f.cands, current, f.acc, opts.difficulty);
+    if (stats.expected_accuracy >= opts.min_accuracy - 1e-12) {
+      best = std::min(best, policy_cost(f.cands, current, stats, costs));
+    }
+    if (current.exits.size() >= opts.max_exits) return;
+    for (std::size_t c = idx; c < f.cands.size(); ++c) {
+      for (double theta : opts.theta_grid) {
+        current.exits.push_back(ExitChoice{c, theta});
+        recurse(c + 1);
+        current.exits.pop_back();
+      }
+    }
+  };
+  recurse(0);
+  return best;
+}
+
+TEST(ExitSettingKernel, DpWithinGapOfBruteForceOnRandomCostTables) {
+  // The stated gap: with 60 coverage bins (the joint optimizer's benchmark
+  // setting) and the exact-evaluation polish, the DP's table cost stays
+  // within 5% of the exhaustive optimum (the worst of these 60 tables is
+  // 1.6%).
+  constexpr double kGap = 0.05;
+  Fixture f("mobilenet_v1", 5);
+  Rng rng(99);
+  ExitSettingOptions opts;
+  opts.theta_grid = {0.0, 0.3, 0.6};
+  opts.max_exits = 3;
+  opts.coverage_bins = 60;
+  const char* presets[] = {"uniform", "easy_heavy", "hard_heavy"};
+  for (int trial = 0; trial < 60; ++trial) {
+    const ExitCostTable costs = random_costs(rng, f.cands.size());
+    opts.min_accuracy = rng.uniform(0.0, f.acc.a_max);
+    opts.difficulty = DifficultyModel::preset(presets[trial % 3]);
+    const double optimum = brute_force_cost(f, costs, opts);
+    const auto dp = dp_exit_setting_costs(f.g, f.cands, f.acc, costs, opts);
+    ASSERT_TRUE(dp.feasible) << "trial " << trial;
+    EXPECT_GE(dp.stats.expected_accuracy, opts.min_accuracy - 1e-12);
+    EXPECT_NEAR(dp.expected_latency,
+                policy_cost(f.cands, dp.policy, dp.stats, costs), 1e-12);
+    EXPECT_GE(dp.expected_latency, optimum - 1e-12) << "trial " << trial;
+    EXPECT_LE(dp.expected_latency, optimum * (1.0 + kGap))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace
