@@ -401,6 +401,16 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
   std::vector<const ExitLattice*> device_lattice(n, nullptr);
   ExitSettingWorkspace dp_workspace;
   std::vector<std::optional<Proposal>> device_only(n);
+  // best_surgery reads nothing that changes between rounds except the
+  // device's grant, so a device whose grant did not move reuses its last
+  // outcome.
+  struct SurgeryMemo {
+    ServerId server;
+    double share;
+    double bandwidth;
+    SurgeryOutcome outcome;
+  };
+  std::vector<std::optional<SurgeryMemo>> last_surgery(n);
   if (opts_.enable_surgery) {
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<DeviceId>(i);
@@ -466,11 +476,17 @@ Decision JointOptimizer::optimize(const ProblemInstance& instance,
     if (opts_.enable_surgery) {
       for (std::size_t i = 0; i < n; ++i) {
         const auto id = static_cast<DeviceId>(i);
-        const auto outcome =
-            best_surgery(instance, id, server_of[i], share[i], bandwidth[i],
-                         device_cuts[i], device_costs[i], opts_,
-                         *device_lattice[i], dp_workspace, device_only[i]);
-        surgery_evals += outcome.evaluations;
+        auto& memo = last_surgery[i];
+        if (!memo || memo->server != server_of[i] || memo->share != share[i] ||
+            memo->bandwidth != bandwidth[i]) {
+          memo = SurgeryMemo{
+              server_of[i], share[i], bandwidth[i],
+              best_surgery(instance, id, server_of[i], share[i], bandwidth[i],
+                           device_cuts[i], device_costs[i], opts_,
+                           *device_lattice[i], dp_workspace, device_only[i])};
+          surgery_evals += memo->outcome.evaluations;
+        }
+        const SurgeryOutcome& outcome = memo->outcome;
         if (!outcome.feasible) continue;
         if (iter == 0) {
           plans[i] = outcome.plan;

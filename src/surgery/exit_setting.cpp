@@ -350,9 +350,9 @@ ExitSettingResult dp_exit_setting_costs(
   const std::size_t bins = lattice.bins();
   const std::size_t thetas = lattice.thetas();
   const std::size_t n = candidates.size();
-  // A label whose accuracy plus the best it can still collect misses the
-  // floor by more than the dominance tolerance can never be selected, nor
-  // can any label it would have displaced (see DESIGN.md §5.1).
+  // A label whose accuracy plus the most it can still collect misses the
+  // floor by more than 1e-9 can never be selected, nor can any label it
+  // would have dominated (see DESIGN.md §5.1).
   const double reachable_floor = opts.min_accuracy - 1e-9;
 
   auto& frontier = workspace.frontier;
