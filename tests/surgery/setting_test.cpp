@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include "nn/models.hpp"
 #include "profile/compute_profile.hpp"
