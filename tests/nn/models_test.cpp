@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "util/assert.hpp"
 
 namespace scalpel {
@@ -19,6 +21,11 @@ struct Reference {
   double mparams;
   double tol_frac;
 };
+
+// Names each case by its model. Without this gtest prints the raw struct
+// bytes, which include the name pointer, so the test names would change with
+// every address-space layout.
+void PrintTo(const Reference& ref, std::ostream* os) { *os << ref.name; }
 
 class ZooReferenceTest : public ::testing::TestWithParam<Reference> {};
 
